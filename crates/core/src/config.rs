@@ -8,7 +8,6 @@ use std::time::Duration;
 use msp_kv::KvStore;
 use msp_net::EndpointId;
 use msp_types::{DomainId, MspId};
-use msp_wal::ReplacementPolicy;
 
 /// Static description of the cluster: which MSP belongs to which service
 /// domain (§1.3: domains are disjoint; end clients are outside all of
@@ -172,9 +171,6 @@ pub struct MspConfig {
     /// while the previous flush was in flight join the same device write
     /// (group-commit coalescing window). `None` flushes immediately.
     pub group_commit_window: Option<Duration>,
-    /// Run the WAL on the legacy single-mutex append path instead of the
-    /// reservation-based pipeline. Compatibility/baseline knob.
-    pub serialized_append: bool,
     /// Threads in the dedicated crash-recovery replay pool (Figure 12's
     /// parallel session replay). Separate from `workers` so replay never
     /// starves new sessions arriving mid-recovery.
@@ -187,19 +183,12 @@ pub struct MspConfig {
     /// per-session whole-window read charging — the measured baseline the
     /// parallel engine is compared against.
     pub serial_recovery: bool,
-    /// Replacement policy of the process-wide replay buffer pool
-    /// (clock / LRU / SIEVE).
-    pub replacement_policy: ReplacementPolicy,
     /// Overlap crash recovery's phases: warm the replay pool from the
     /// analysis scan's own chunk stream and start the parallel replay
     /// pool before the post-recovery MSP checkpoint, instead of strictly
     /// sequencing scan → checkpoint → replay. Off restores the serial
     /// phase order (the measured baseline).
     pub overlapped_recovery: bool,
-    /// Run a prefetcher over the longest-first replay schedule that pulls
-    /// each session's replay window into the buffer pool ahead of its
-    /// recovery worker.
-    pub recovery_prefetch: bool,
     /// Let blind read-modify-writes through registered shared operations
     /// log compact `SharedOp` records (op id + args) instead of the
     /// value-logged read/write pair, while per-variable chain length and
@@ -243,13 +232,10 @@ impl MspConfig {
             blocking_durability: false,
             blocking_send_durability: false,
             group_commit_window: None,
-            serialized_append: false,
             recovery_threads: 4,
             replay_cache_blocks: 64,
             serial_recovery: false,
-            replacement_policy: ReplacementPolicy::Clock,
             overlapped_recovery: true,
-            recovery_prefetch: true,
             adaptive_logging: false,
             log_stripes: 0,
             runtime_shards: 1,
@@ -313,12 +299,6 @@ impl MspConfig {
     }
 
     #[must_use]
-    pub fn with_serialized_append(mut self, serialized: bool) -> MspConfig {
-        self.serialized_append = serialized;
-        self
-    }
-
-    #[must_use]
     pub fn with_recovery_threads(mut self, threads: usize) -> MspConfig {
         self.recovery_threads = threads;
         self
@@ -349,20 +329,8 @@ impl MspConfig {
     }
 
     #[must_use]
-    pub fn with_replacement_policy(mut self, policy: ReplacementPolicy) -> MspConfig {
-        self.replacement_policy = policy;
-        self
-    }
-
-    #[must_use]
     pub fn with_overlapped_recovery(mut self, overlapped: bool) -> MspConfig {
         self.overlapped_recovery = overlapped;
-        self
-    }
-
-    #[must_use]
-    pub fn with_recovery_prefetch(mut self, prefetch: bool) -> MspConfig {
-        self.recovery_prefetch = prefetch;
         self
     }
 
@@ -426,15 +394,12 @@ mod tests {
             .with_blocking_durability(true)
             .with_blocking_send_durability(true)
             .with_group_commit_window(Some(Duration::from_micros(500)))
-            .with_serialized_append(true)
             .with_recovery_threads(8)
             .with_replay_cache_blocks(16)
             .with_serial_recovery(true)
             .with_log_stripes(4)
             .with_runtime_shards(2)
-            .with_replacement_policy(ReplacementPolicy::Sieve)
             .with_overlapped_recovery(false)
-            .with_recovery_prefetch(false)
             .with_adaptive_logging(true);
         assert_eq!(cfg.rpc_retry_limit, 3);
         assert!(!cfg.durability_watermarks);
@@ -442,15 +407,12 @@ mod tests {
         assert!(cfg.blocking_send_durability);
         assert!(cfg.sends_block());
         assert_eq!(cfg.group_commit_window, Some(Duration::from_micros(500)));
-        assert!(cfg.serialized_append);
         assert_eq!(cfg.recovery_threads, 8);
         assert_eq!(cfg.replay_cache_blocks, 16);
         assert!(cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 4);
         assert_eq!(cfg.runtime_shards, 2);
-        assert_eq!(cfg.replacement_policy, ReplacementPolicy::Sieve);
         assert!(!cfg.overlapped_recovery);
-        assert!(!cfg.recovery_prefetch);
         assert!(cfg.adaptive_logging);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
         assert_eq!(cfg.rpc_retry_limit, 10_000);
@@ -465,19 +427,12 @@ mod tests {
             "the fully blocking baseline blocks sends as well"
         );
         assert_eq!(cfg.group_commit_window, None);
-        assert!(!cfg.serialized_append);
         assert_eq!(cfg.recovery_threads, 4);
         assert_eq!(cfg.replay_cache_blocks, 64);
         assert!(!cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 0, "single log is the default");
         assert_eq!(cfg.runtime_shards, 1, "one shard is the default");
-        assert_eq!(
-            cfg.replacement_policy,
-            ReplacementPolicy::Clock,
-            "clock is the default replacement policy"
-        );
         assert!(cfg.overlapped_recovery, "overlap is the default");
-        assert!(cfg.recovery_prefetch, "prefetch is the default");
         assert!(!cfg.adaptive_logging, "value logging is the default diet");
         assert_eq!(
             cfg.logging.checkpoint_interval_bytes,

@@ -271,10 +271,7 @@ impl MspInner {
         //    appends from here on land past the pool's limit (the
         //    crash-time durable end) and fall back to direct log reads.
         if !self.cfg.serial_recovery {
-            let pool = Arc::new(msp_wal::BufferPool::new(
-                self.cfg.replay_cache_blocks,
-                self.cfg.replacement_policy,
-            ));
+            let pool = Arc::new(msp_wal::BufferPool::new(self.cfg.replay_cache_blocks));
             *self.replay_cache.lock() = Some(Arc::new(WalReplayCache::with_pool(log, &pool)));
         }
         let mut streams: HashMap<SessionId, PositionStream> = HashMap::new();

@@ -782,10 +782,7 @@ impl MspInner {
             }
         }
         let Some(svc) = self.services.get(&req.method).cloned() else {
-            let status = ReplyStatus::Err(format!("no such method: {}", req.method));
-            let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status.clone());
-            st.buffered_reply = Some((req.seq, status));
-            st.next_expected = req.seq.next();
+            self.reject_request(st, &req, format!("no such method: {}", req.method));
             return;
         };
 
@@ -799,6 +796,16 @@ impl MspInner {
             payload: req.payload.clone(),
             sender_dv: req.sender_dv.clone(),
         };
+        // The log stages a record only up to its size bound; a request
+        // too large to log is refused like an unknown method.
+        if !log.fits(&record) {
+            let reason = format!(
+                "request of {} bytes exceeds the log's record bound",
+                req.payload.len()
+            );
+            self.reject_request(st, &req, reason);
+            return;
+        }
         let (lsn, framed) = log.append_sized(&record);
         if let Some(dv) = &req.sender_dv {
             st.dv.merge_from(dv);
@@ -845,6 +852,15 @@ impl MspInner {
             let _ = self.session_checkpoint(cell, st);
         }
         cell.sync_anchor(st);
+    }
+
+    /// Answer `req` with an error, without logging or executing it. The
+    /// reply is buffered, so a resend of the same request gets it again.
+    fn reject_request(&self, st: &mut SessionState, req: &RequestMsg, reason: String) {
+        let status = ReplyStatus::Err(reason);
+        let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status.clone());
+        st.buffered_reply = Some((req.seq, status));
+        st.next_expected = req.seq.next();
     }
 
     /// An infrastructure error interrupted request processing. If the
@@ -1653,7 +1669,7 @@ impl MspInner {
         }
         .min(sessions.len().max(1));
         let cache = self.replay_cache.lock().clone();
-        let prefetch_order: Vec<SessionId> = if self.cfg.recovery_prefetch && cache.is_some() {
+        let prefetch_order: Vec<SessionId> = if cache.is_some() {
             sessions.iter().map(|&(sid, _)| sid).collect()
         } else {
             Vec::new()
@@ -2087,7 +2103,6 @@ impl MspBuilder {
             // Fold the MspConfig logging knobs into the flush policy;
             // knobs set directly on the policy win.
             let mut policy = self.flush_policy;
-            policy.serialized_append |= self.cfg.serialized_append;
             if policy.group_commit_window.is_none() {
                 policy = policy.with_group_commit_window(self.cfg.group_commit_window);
             }

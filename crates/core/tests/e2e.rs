@@ -1,6 +1,7 @@
 //! End-to-end tests of the recovery runtime: normal execution, unreliable
 //! transport, crash recovery, orphan recovery, and the baselines.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,6 +183,57 @@ fn unknown_method_is_an_error() {
     let mut c = client(&net, 1);
     let err = c.call(MSP1, "nope", &[]).unwrap_err();
     assert!(err.to_string().contains("no such method"));
+    msp.shutdown();
+    net.shutdown();
+}
+
+#[test]
+fn oversized_request_is_rejected_without_a_panic() {
+    // Count panics on every thread from here on; the previous hook still
+    // reports them.
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::SeqCst);
+        report(info);
+    }));
+    let panics_before = PANICS.load(Ordering::SeqCst);
+
+    let net = net();
+    let disk = Arc::new(MemDisk::new());
+    let msp = counter_msp(
+        MSP1,
+        1,
+        cluster_same_domain(),
+        &net,
+        disk,
+        SessionStrategy::LogBased,
+    );
+    // Few resends: a worker that died on the request shows up as a
+    // timeout instead of a long hang.
+    let mut c = MspClient::new(
+        &net,
+        1,
+        ClientOptions {
+            resend_timeout: Duration::from_millis(200),
+            busy_backoff: Duration::from_millis(1),
+            max_attempts: 5,
+        },
+    );
+    let err = c.call(MSP1, "counter", &vec![0u8; 8 << 20]).unwrap_err();
+    assert!(
+        err.to_string().contains("exceeds the log's record bound"),
+        "expected an error reply, got {err}"
+    );
+    // The rejected request was neither logged nor executed, and the
+    // session goes on to serve the next one.
+    assert_eq!(as_u64(&c.call(MSP1, "counter", &[]).unwrap()), 1);
+    assert_eq!(msp.stats().requests, 1);
+    assert_eq!(
+        PANICS.load(Ordering::SeqCst),
+        panics_before,
+        "a thread panicked"
+    );
     msp.shutdown();
     net.shutdown();
 }

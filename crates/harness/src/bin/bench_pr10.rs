@@ -3,13 +3,12 @@
 //!
 //! **Part A — cold-cache MTTR.** Builds the §5.2-flavoured crash image
 //! (interleaved sessions, checkpoints disabled so every replay window
-//! spans the whole log), then restarts it under a scaled disk model with
-//! the overlap machinery toggled: the cold baseline (no scan-fed
-//! warm-in, no longest-first prefetcher — replay demand-reads the whole
-//! log a second time), each knob alone, and the full configuration. The
-//! gate requires the full configuration to beat the cold baseline by
-//! ≥1.3× on restart-to-recovered wall clock. The replacement policies
-//! are swept at the full configuration for the record.
+//! spans the whole log), then restarts it under a scaled disk model
+//! twice: the cold baseline (no scan-fed warm-in, strictly sequenced
+//! phases — replay demand-reads the log a second time, helped only by
+//! the longest-first prefetcher) and the full overlapped configuration.
+//! The gate requires the full configuration to beat the cold baseline by
+//! ≥1.3× on restart-to-recovered wall clock.
 //!
 //! **Part B — hot-path log bytes per operation.** A solo MSP runs a
 //! shared-variable RMW workload routed through a registered shared op;
@@ -32,7 +31,7 @@ use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig};
 use msp_harness::metrics::RecoveryPhases;
 use msp_net::{NetModel, Network};
 use msp_types::{DomainId, MspId};
-use msp_wal::{Disk, DiskModel, FlushPolicy, MemDisk, PoolStatsSnapshot, ReplacementPolicy};
+use msp_wal::{Disk, DiskModel, FlushPolicy, MemDisk, PoolStatsSnapshot};
 
 const MSP: MspId = MspId(1);
 
@@ -140,17 +139,16 @@ fn run_recovery(image: &[u8], cfg: MspConfig, scale: f64) -> RunResult {
     }
 }
 
-fn recovery_json(mode: &str, policy: &str, r: &RunResult) -> String {
+fn recovery_json(mode: &str, r: &RunResult) -> String {
     format!(
         concat!(
-            "{{ \"mode\": \"{}\", \"policy\": \"{}\", \"mttr_ms\": {:.3}, ",
+            "{{ \"mode\": \"{}\", \"mttr_ms\": {:.3}, ",
             "\"analysis_ms\": {:.3}, \"replay_ms\": {:.3}, ",
             "\"pool_hits\": {}, \"pool_misses\": {}, \"pool_evictions\": {}, ",
             "\"pool_prefetch_hits\": {}, \"pool_prefetched_blocks\": {}, ",
             "\"hit_rate\": {:.3} }}"
         ),
         mode,
-        policy,
         r.mttr.as_secs_f64() * 1e3,
         r.phases.analysis_ms(),
         r.phases.replay_ms(),
@@ -240,7 +238,7 @@ fn main() {
     }
     let sessions = 64u64;
 
-    // Part A: cold baseline vs each overlap knob vs the full machinery.
+    // Part A: cold baseline vs the full overlapped machinery.
     let image = build_crash_image(sessions, calls);
     eprintln!(
         "crash image: {} sessions x {} calls, {} KB of log",
@@ -253,62 +251,23 @@ fn main() {
             .with_recovery_threads(8)
             .with_replay_cache_blocks(64)
     };
-    let mut rows: Vec<String> = Vec::new();
-
-    let cold = run_recovery(
-        &image,
-        pool_cfg()
-            .with_overlapped_recovery(false)
-            .with_recovery_prefetch(false),
-        scale,
-    );
-    rows.push(recovery_json("cold", "clock", &cold));
+    let cold = run_recovery(&image, pool_cfg().with_overlapped_recovery(false), scale);
     eprintln!(
-        "  cold (no warm-in, no prefetch): MTTR {:.1} ms (replay {:.1} ms, hit rate {:.2})",
+        "  cold (no warm-in): MTTR {:.1} ms (replay {:.1} ms, hit rate {:.2})",
         cold.mttr.as_secs_f64() * 1e3,
         cold.phases.replay_ms(),
         cold.hit_rate()
     );
-
-    let overlap_only = run_recovery(
-        &image,
-        pool_cfg()
-            .with_overlapped_recovery(true)
-            .with_recovery_prefetch(false),
-        scale,
+    let full = run_recovery(&image, pool_cfg().with_overlapped_recovery(true), scale);
+    let full_speedup = cold.mttr.as_secs_f64() / full.mttr.as_secs_f64();
+    let full_hit_rate = full.hit_rate();
+    eprintln!(
+        "  full: MTTR {:.1} ms ({full_speedup:.2}x vs cold, hit rate {:.2}, {} warmed blocks)",
+        full.mttr.as_secs_f64() * 1e3,
+        full_hit_rate,
+        full.pool.pool_prefetched_blocks
     );
-    rows.push(recovery_json("overlap", "clock", &overlap_only));
-    let prefetch_only = run_recovery(
-        &image,
-        pool_cfg()
-            .with_overlapped_recovery(false)
-            .with_recovery_prefetch(true),
-        scale,
-    );
-    rows.push(recovery_json("prefetch", "clock", &prefetch_only));
-
-    let mut full_speedup = 0.0f64;
-    let mut full_hit_rate = 0.0f64;
-    for policy in [
-        ReplacementPolicy::Clock,
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Sieve,
-    ] {
-        let full = run_recovery(&image, pool_cfg().with_replacement_policy(policy), scale);
-        let speedup = cold.mttr.as_secs_f64() / full.mttr.as_secs_f64();
-        eprintln!(
-            "  full/{}: MTTR {:.1} ms ({speedup:.2}x vs cold, hit rate {:.2}, {} warmed blocks)",
-            policy.name(),
-            full.mttr.as_secs_f64() * 1e3,
-            full.hit_rate(),
-            full.pool.pool_prefetched_blocks
-        );
-        if policy == ReplacementPolicy::Clock {
-            full_speedup = speedup;
-            full_hit_rate = full.hit_rate();
-        }
-        rows.push(recovery_json("full", policy.name(), &full));
-    }
+    let rows = [recovery_json("cold", &cold), recovery_json("full", &full)];
 
     // Part B: log bytes per RMW call, diet off vs on.
     let bytes_value = run_diet(false, ops);
@@ -355,7 +314,7 @@ fn main() {
 
     assert!(
         full_speedup >= 1.3,
-        "overlapped+prefetched recovery must beat the cold pool by >=1.3x, \
+        "overlapped recovery must beat the cold pool by >=1.3x, \
          got {full_speedup:.2}x"
     );
     assert!(

@@ -2,19 +2,17 @@
 //!
 //! Drives the physical log directly with a commit-per-append workload
 //! (append one record, then `flush_to` it) at 1 and 8 threads, under the
-//! same scaled disk model, through two pipelines:
+//! same scaled disk model, with a short group-commit coalescing window.
+//! The 1-thread pass is the baseline: with one committer there is nothing
+//! to coalesce, so the 8-thread pass must scale commit throughput by
+//! sharing device flushes.
 //!
-//! * **serialized** — the legacy single-mutex append path with
-//!   one-flush-per-commit (`serialized_append` + `per_request`), and
-//! * **reserved** — the reservation-based append path with a short
-//!   group-commit coalescing window.
-//!
-//! Also checks two invariants the speedup must not cost us: a fixed
-//! sequential commit pattern produces identical device-flush counts on
-//! both pipelines, and a crash mid-append recovers byte-identical state.
-//! A final sweep maps the reserved pipeline across committer threads ×
-//! record sizes × group-commit windows. Results go to `BENCH_PR2.json`,
-//! mirrored on stdout.
+//! Also checks two invariants the scaling must not cost us: a fixed
+//! sequential `per_request` commit pattern issues exactly one device
+//! flush per commit, and a crash mid-append recovers exactly the
+//! committed records. A final sweep maps the pipeline across committer
+//! threads × record sizes × group-commit windows. Results go to
+//! `BENCH_PR2.json`, mirrored on stdout.
 //!
 //! ```text
 //! bench_pr2 [--per-thread N] [--scale S]
@@ -27,7 +25,17 @@ use msp_types::{Lsn, RequestSeq, SessionId};
 use msp_wal::log::DATA_START;
 use msp_wal::{DiskModel, FlushPolicy, LogRecord, MemDisk, PhysicalLog};
 
-fn sized_rec(session: u64, seq: u64, len: usize) -> LogRecord {
+/// Commits/s the 8-thread pass must reach, as a multiple of the 1-thread
+/// pass.
+const SCALING_FLOOR: f64 = 3.3;
+
+/// Device flushes per commit the 8-thread pass may issue at most.
+const FLUSHES_PER_COMMIT_CEILING: f64 = 1.0 / 3.0;
+
+/// Payload size of the headline passes.
+const RECORD_BYTES: usize = 120;
+
+fn rec(session: u64, seq: u64, len: usize) -> LogRecord {
     LogRecord::RequestReceive {
         session: SessionId(session),
         seq: RequestSeq(seq),
@@ -37,15 +45,10 @@ fn sized_rec(session: u64, seq: u64, len: usize) -> LogRecord {
     }
 }
 
-fn rec(session: u64, seq: u64) -> LogRecord {
-    sized_rec(session, seq, 120)
-}
-
 struct PassResult {
     elapsed: Duration,
     commits: u64,
     flushes: u64,
-    reservations: u64,
     group_batches: u64,
 }
 
@@ -58,48 +61,10 @@ impl PassResult {
     }
 }
 
-fn policy(serialized: bool) -> FlushPolicy {
-    if serialized {
-        FlushPolicy::per_request().with_serialized_append(true)
-    } else {
-        FlushPolicy::per_request().with_group_commit_window(Some(Duration::from_millis(1)))
-    }
-}
-
 /// One timed pass: `threads` committers, each doing `per_thread`
-/// append-then-commit cycles against a fresh log.
-fn run_pass(serialized: bool, threads: u64, per_thread: u64, scale: f64) -> PassResult {
-    let disk = Arc::new(MemDisk::new());
-    let model = DiskModel::default().with_scale(scale);
-    let log = PhysicalLog::open(disk, model, policy(serialized)).expect("open log");
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let log = Arc::clone(&log);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let lsn = log.append(&rec(t, i));
-                    log.flush_to(lsn).expect("flush_to");
-                }
-            });
-        }
-    });
-    let elapsed = t0.elapsed();
-    let stats = log.stats();
-    log.close();
-    PassResult {
-        elapsed,
-        commits: threads * per_thread,
-        flushes: stats.flushes,
-        reservations: stats.append_reservations,
-        group_batches: stats.group_commit_batches,
-    }
-}
-
-/// One reserved-pipeline sweep point: `threads` committers of
-/// `record_len`-byte payloads under an optional group-commit window
-/// (the roadmap's threads × record size × window map).
-fn sweep_pass(
+/// append-then-commit cycles of `record_len`-byte payloads against a
+/// fresh log under an optional group-commit window.
+fn run_pass(
     threads: u64,
     record_len: usize,
     window: Option<Duration>,
@@ -116,7 +81,7 @@ fn sweep_pass(
             let log = Arc::clone(&log);
             s.spawn(move || {
                 for i in 0..per_thread {
-                    let lsn = log.append(&sized_rec(t, i, record_len));
+                    let lsn = log.append(&rec(t, i, record_len));
                     log.flush_to(lsn).expect("flush_to");
                 }
             });
@@ -129,66 +94,49 @@ fn sweep_pass(
         elapsed,
         commits: threads * per_thread,
         flushes: stats.flushes,
-        reservations: stats.append_reservations,
         group_batches: stats.group_commit_batches,
     }
 }
 
-/// Device-flush parity: the same fixed sequential commit pattern must
-/// issue the identical number of device flushes on both pipelines.
-fn flush_parity(commits: u64) -> (u64, u64) {
-    let counts: Vec<u64> = [true, false]
-        .iter()
-        .map(|&serialized| {
-            let disk = Arc::new(MemDisk::new());
-            let log = PhysicalLog::open(
-                disk,
-                DiskModel::zero(),
-                FlushPolicy::per_request().with_serialized_append(serialized),
-            )
-            .expect("open log");
-            for i in 0..commits {
-                let lsn = log.append(&rec(7, i));
-                log.flush_to(lsn).expect("flush_to");
-            }
-            let flushes = log.stats().flushes;
-            log.close();
-            flushes
-        })
-        .collect();
-    (counts[0], counts[1])
+/// Device flushes issued by `commits` sequential `per_request` commits.
+fn flush_parity(commits: u64) -> u64 {
+    let log = PhysicalLog::open(
+        Arc::new(MemDisk::new()),
+        DiskModel::zero(),
+        FlushPolicy::per_request(),
+    )
+    .expect("open log");
+    for i in 0..commits {
+        let lsn = log.append(&rec(7, i, RECORD_BYTES));
+        log.flush_to(lsn).expect("flush_to");
+    }
+    let flushes = log.stats().flushes;
+    log.close();
+    flushes
 }
 
-/// Crash mid-append: run the same deterministic sequence on both
-/// pipelines — commit a prefix, append an unflushed suffix, crash —
-/// and return the two recovered `(lsn, record)` streams.
-fn crash_recovery(serialized: bool) -> Vec<(u64, LogRecord)> {
+/// Crash mid-append: commit 16 records, append an unflushed suffix of 8,
+/// crash, and return the records a scan of the reopened log recovers.
+fn crash_recovery() -> Vec<LogRecord> {
     let disk = Arc::new(MemDisk::new());
     {
-        let log = PhysicalLog::open(
-            disk.clone(),
-            DiskModel::zero(),
-            FlushPolicy::per_request().with_serialized_append(serialized),
-        )
-        .expect("open log");
+        let log = PhysicalLog::open(disk.clone(), DiskModel::zero(), FlushPolicy::per_request())
+            .expect("open log");
         let mut committed = Lsn(0);
         for i in 0..16 {
-            committed = log.append(&rec(3, i));
+            committed = log.append(&rec(3, i, RECORD_BYTES));
         }
         log.flush_to(committed).expect("flush committed prefix");
         for i in 16..24 {
-            log.append(&rec(3, i));
+            log.append(&rec(3, i, RECORD_BYTES));
         }
         log.crash();
     }
     let log = PhysicalLog::open(disk, DiskModel::zero(), FlushPolicy::per_request())
         .expect("reopen after crash");
-    let recovered: Vec<(u64, LogRecord)> = log
+    let recovered = log
         .scan_from(Lsn(DATA_START))
-        .map(|r| {
-            let (lsn, record) = r.expect("clean scan after crash");
-            (lsn.0, record)
-        })
+        .map(|r| r.expect("clean scan after crash").1)
         .collect();
     log.close();
     recovered
@@ -199,14 +147,13 @@ fn pass_json(p: &PassResult) -> String {
         concat!(
             "{{ \"elapsed_ms\": {:.3}, \"commits\": {}, \"commits_per_sec\": {:.1}, ",
             "\"device_flushes\": {}, \"flushes_per_commit\": {:.3}, ",
-            "\"append_reservations\": {}, \"group_commit_batches\": {} }}"
+            "\"group_commit_batches\": {} }}"
         ),
         p.elapsed.as_secs_f64() * 1e3,
         p.commits,
         p.commits_per_sec(),
         p.flushes,
         p.flushes_per_commit(),
-        p.reservations,
         p.group_batches,
     )
 }
@@ -225,25 +172,25 @@ fn main() {
         }
     }
 
-    let ser_1 = run_pass(true, 1, per_thread, scale);
-    let ser_8 = run_pass(true, 8, per_thread, scale);
-    let res_1 = run_pass(false, 1, per_thread, scale);
-    let res_8 = run_pass(false, 8, per_thread, scale);
-    let speedup_8 = res_8.commits_per_sec() / ser_8.commits_per_sec();
+    let window = Some(Duration::from_millis(1));
+    let res_1 = run_pass(1, RECORD_BYTES, window, per_thread, scale);
+    let res_8 = run_pass(8, RECORD_BYTES, window, per_thread, scale);
+    let scaling_8 = res_8.commits_per_sec() / res_1.commits_per_sec();
 
-    let (parity_ser, parity_res) = flush_parity(16);
-    let crash_ser = crash_recovery(true);
-    let crash_res = crash_recovery(false);
-    let byte_identical = crash_ser == crash_res;
+    let parity_commits = 16u64;
+    let parity_flushes = flush_parity(parity_commits);
+    let recovered = crash_recovery();
+    let committed: Vec<LogRecord> = (0..16).map(|i| rec(3, i, RECORD_BYTES)).collect();
+    let crash_exact = recovered == committed;
 
-    // Roadmap sweep: threads × record size × group-commit window over the
-    // reserved pipeline, fewer commits per point to bound the runtime.
+    // Roadmap sweep: threads × record size × group-commit window, fewer
+    // commits per point to bound the runtime.
     let sweep_commits = per_thread.min(24);
     let mut sweep_rows = Vec::new();
     for &threads in &[1u64, 4, 8] {
         for &record in &[64usize, 512, 2048] {
             for window in [None, Some(Duration::from_millis(1))] {
-                let p = sweep_pass(threads, record, window, sweep_commits, scale);
+                let p = run_pass(threads, record, window, sweep_commits, scale);
                 sweep_rows.push(format!(
                     concat!(
                         "{{ \"threads\": {}, \"record_bytes\": {}, ",
@@ -269,51 +216,57 @@ fn main() {
             "  \"bench\": \"pr2_scalable_append_path\",\n",
             "  \"workload\": {{ \"per_thread_commits\": {}, \"disk_scale\": {} }},\n",
             "  \"passes\": {{\n",
-            "    \"serialized_1t\": {},\n",
-            "    \"serialized_8t\": {},\n",
             "    \"reserved_1t\": {},\n",
             "    \"reserved_8t\": {}\n",
             "  }},\n",
             "  \"sweep\": [\n    {}\n  ],\n",
             "  \"summary\": {{\n",
-            "    \"speedup_8t\": {:.2},\n",
-            "    \"parity_commits\": 16,\n",
-            "    \"parity_flushes_serialized\": {},\n",
-            "    \"parity_flushes_reserved\": {},\n",
+            "    \"scaling_8t_over_1t\": {:.2},\n",
+            "    \"flushes_per_commit_8t\": {:.3},\n",
+            "    \"parity_commits\": {},\n",
+            "    \"parity_flushes\": {},\n",
             "    \"crash_recovered_records\": {},\n",
-            "    \"crash_recovery_byte_identical\": {}\n",
+            "    \"crash_recovered_exactly_committed\": {}\n",
             "  }}\n",
             "}}\n"
         ),
         per_thread,
         scale,
-        pass_json(&ser_1),
-        pass_json(&ser_8),
         pass_json(&res_1),
         pass_json(&res_8),
         sweep_rows.join(",\n    "),
-        speedup_8,
-        parity_ser,
-        parity_res,
-        crash_res.len(),
-        byte_identical,
+        scaling_8,
+        res_8.flushes_per_commit(),
+        parity_commits,
+        parity_flushes,
+        recovered.len(),
+        crash_exact,
     );
 
     print!("{json}");
     std::fs::write("BENCH_PR2.json", &json).expect("write BENCH_PR2.json");
 
     assert!(
-        speedup_8 >= 3.0,
-        "reserved+group-commit must be >=3x serialized at 8 threads, got {speedup_8:.2}x"
+        scaling_8 >= SCALING_FLOOR,
+        "8 group-committing threads must reach >={SCALING_FLOOR}x the 1-thread \
+         commit rate, got {scaling_8:.2}x"
+    );
+    assert!(
+        res_8.flushes_per_commit() <= FLUSHES_PER_COMMIT_CEILING,
+        "8 threads must share device flushes: at most 1/3 flush per commit, got {:.3}",
+        res_8.flushes_per_commit()
     );
     assert_eq!(
-        parity_ser, parity_res,
-        "fixed commit pattern must issue identical device flushes"
+        parity_flushes, parity_commits,
+        "sequential per_request commits must issue one device flush each"
     );
-    assert_eq!(crash_res.len(), 16, "exactly the committed prefix survives");
-    assert!(byte_identical, "both pipelines recover identical state");
+    assert!(
+        crash_exact,
+        "a crash must recover exactly the 16 committed records, got {}",
+        recovered.len()
+    );
     eprintln!(
-        "wrote BENCH_PR2.json ({speedup_8:.2}x at 8 threads, \
-         {parity_ser}=={parity_res} parity flushes)"
+        "wrote BENCH_PR2.json ({scaling_8:.2}x at 8 threads over 1, \
+         {parity_flushes} flushes for {parity_commits} commits)"
     );
 }

@@ -503,9 +503,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         // The adaptive shape is the only schedule knob outside
         // `Schedule::generate`: same draws as Default, different log diet.
         adaptive_logging: opts.shape == WorkloadShape::AdaptiveOps,
-        replacement_policy: msp_wal::ReplacementPolicy::default(),
-        overlapped_recovery: true,
-        recovery_prefetch: true,
     });
 
     let (res_tx, res_rx) = crossbeam_channel::unbounded::<Result<u64, String>>();
@@ -1069,9 +1066,6 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         runtime_shards: if opts.striped { 2 } else { 1 },
         checkpoint_interval_bytes: opts.checkpoint_interval_bytes,
         adaptive_logging: false,
-        replacement_policy: msp_wal::ReplacementPolicy::default(),
-        overlapped_recovery: true,
-        recovery_prefetch: true,
     });
 
     let trace = std::env::var_os("TORTURE_TRACE").is_some();

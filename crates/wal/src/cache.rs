@@ -12,11 +12,11 @@
 //! PR 3 gave each recovery its own fixed clock pool; the slots now live
 //! in a shared [`BufferPool`] (one per process when runtimes are
 //! co-located) and a `ReplayCache` is one registered *source* in it: a
-//! thin view binding a pool source id to one physical log. Eviction
-//! policy is the pool's ([`ReplacementPolicy`]); blocks are handed out as
-//! `Arc<Vec<u8>>` so a lookup clones the Arc and drops the bookkeeping
-//! lock before any byte is copied; concurrent misses on the same block
-//! may both read the device (both are counted — that is real I/O).
+//! thin view binding a pool source id to one physical log. Eviction is
+//! the pool's clock; blocks are handed out as `Arc<Vec<u8>>` so a lookup
+//! clones the Arc and drops the bookkeeping lock before any byte is
+//! copied; concurrent misses on the same block may both read the device
+//! (both are counted — that is real I/O).
 //!
 //! Reads at or past [`limit`](ReplayCache::limit) (records appended
 //! *during* recovery, e.g. EOS markers) go to the owning log, which can
@@ -35,7 +35,7 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::log::{PhysicalLog, FRAME_HEADER, FRAME_MAGIC, MAX_RECORD, SCAN_CHUNK};
 use crate::model::DiskModel;
-use crate::pool::{BufferPool, ReplacementPolicy, ScanFeed};
+use crate::pool::{BufferPool, ScanFeed};
 use crate::record::LogRecord;
 
 /// Replay view over one physical log: a registered source in a (possibly
@@ -59,10 +59,7 @@ impl ReplayCache {
     /// Build a private cache of `blocks` 64 KB slots over `log`'s current
     /// durable prefix (clock replacement — the PR 3 behaviour).
     pub fn new(log: &Arc<PhysicalLog>, blocks: usize) -> ReplayCache {
-        ReplayCache::with_pool(
-            log,
-            &Arc::new(BufferPool::new(blocks, ReplacementPolicy::Clock)),
-        )
+        ReplayCache::with_pool(log, &Arc::new(BufferPool::new(blocks)))
     }
 
     /// A view over `log` borrowing slots from a shared `pool`.
@@ -344,7 +341,7 @@ mod tests {
     fn shared_pool_serves_two_logs_without_aliasing() {
         let (log_a, lsns_a) = logged(4, 100);
         let (log_b, lsns_b) = logged(4, 100);
-        let pool = Arc::new(BufferPool::new(4, ReplacementPolicy::Lru));
+        let pool = Arc::new(BufferPool::new(4));
         let a = ReplayCache::with_pool(&log_a, &pool);
         let b = ReplayCache::with_pool(&log_b, &pool);
         // Identical LSNs on both logs: the source id keys them apart.

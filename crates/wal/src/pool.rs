@@ -10,20 +10,10 @@
 //! a shard that finishes recovery early returns its memory to the shard
 //! still replaying, and the whole pool is observable as one stats block.
 //!
-//! Replacement is pluggable ([`ReplacementPolicy`]):
-//!
-//! - **Clock** — second-chance, the PR 3 behaviour and the default. One
-//!   reference bit per slot, a hand that clears bits until it finds a
-//!   cold slot. Cheap, scan-resistant enough for replay's mostly
-//!   sequential block walk.
-//! - **LRU** — exact least-recently-used via a recency stamp per slot.
-//!   Best hit rate when replay windows re-walk the same few blocks
-//!   (heavily checkpointed sessions), at the cost of a victim scan.
-//! - **SIEVE** — a FIFO queue with one visited bit and a hand that
-//!   moves from the oldest entry toward the newest, evicting the first
-//!   unvisited entry; new blocks enter unvisited at the newest end.
-//!   Keeps one-touch scan blocks from displacing re-referenced ones
-//!   without any promotion bookkeeping on hits.
+//! Replacement is second-chance clock: one reference bit per slot, set on
+//! a demand hit and on install (one revolution of grace), and a hand that
+//! clears bits until it finds a cold slot. It is cheap and scan-resistant
+//! enough for replay's mostly sequential block walk.
 //!
 //! Prefetched blocks ([`BufferPool::insert_prefetched`] /
 //! [`BufferPool::prefetch_with`]) are tagged so the pool can report how
@@ -38,48 +28,13 @@ use parking_lot::Mutex;
 
 use msp_types::MspError;
 
-/// Which block the pool sacrifices when it is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Second-chance clock (the PR 3 replay-cache behaviour).
-    #[default]
-    Clock,
-    /// Exact least-recently-used.
-    Lru,
-    /// SIEVE: FIFO order, one visited bit, hand from oldest to newest.
-    Sieve,
-}
-
-impl ReplacementPolicy {
-    /// Canonical lower-case name (config/report surface).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplacementPolicy::Clock => "clock",
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Sieve => "sieve",
-        }
-    }
-
-    /// Parse a config-knob string; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        match s {
-            "clock" => Some(ReplacementPolicy::Clock),
-            "lru" => Some(ReplacementPolicy::Lru),
-            "sieve" => Some(ReplacementPolicy::Sieve),
-            _ => None,
-        }
-    }
-}
-
 /// One pooled block.
 struct Slot {
     /// `(source, block_no)` owner, `None` while the slot is free.
     key: Option<(u32, u64)>,
     data: Arc<Vec<u8>>,
-    /// Clock reference bit / SIEVE visited bit: set on demand hit.
+    /// Clock reference bit: set on install and on demand hit.
     referenced: bool,
-    /// LRU recency stamp (global tick at last touch).
-    stamp: u64,
     /// Loaded by a prefetcher and not yet claimed by a demand read.
     prefetched: bool,
 }
@@ -90,7 +45,6 @@ impl Slot {
             key: None,
             data: Arc::new(Vec::new()),
             referenced: false,
-            stamp: 0,
             prefetched: false,
         }
     }
@@ -104,13 +58,6 @@ struct PoolInner {
     free: Vec<usize>,
     /// Clock hand over `slots`.
     hand: usize,
-    /// LRU tick source.
-    tick: u64,
-    /// Occupied slots in insertion order, oldest first (SIEVE queue; also
-    /// kept for Clock/LRU so retirement bookkeeping is policy-agnostic).
-    order: Vec<usize>,
-    /// SIEVE hand: index into `order`, sweeping oldest → newest.
-    sieve_hand: usize,
 }
 
 /// Monotone pool counters.
@@ -181,7 +128,6 @@ pub struct PoolReadOutcome {
 /// Fixed-size, process-wide pool of 64 KB log blocks shared by every
 /// registered consumer. See the module docs.
 pub struct BufferPool {
-    policy: ReplacementPolicy,
     inner: Mutex<PoolInner>,
     stats: PoolStats,
     next_source: AtomicU32,
@@ -189,19 +135,15 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool of `blocks` slots (clamped to at least 1).
-    pub fn new(blocks: usize, policy: ReplacementPolicy) -> BufferPool {
+    pub fn new(blocks: usize) -> BufferPool {
         let blocks = blocks.max(1);
         let slots = (0..blocks).map(|_| Slot::empty()).collect();
         BufferPool {
-            policy,
             inner: Mutex::new(PoolInner {
                 map: HashMap::new(),
                 slots,
                 free: (0..blocks).rev().collect(),
                 hand: 0,
-                tick: 0,
-                order: Vec::with_capacity(blocks),
-                sieve_hand: 0,
             }),
             stats: PoolStats::default(),
             next_source: AtomicU32::new(0),
@@ -227,7 +169,6 @@ impl BufferPool {
         for key in keys {
             let slot = inner.map.remove(&key).expect("key just listed");
             inner.slots[slot] = Slot::empty();
-            Self::unlink(&mut inner, slot);
             inner.free.push(slot);
         }
     }
@@ -235,11 +176,6 @@ impl BufferPool {
     /// Total slot count.
     pub fn capacity(&self) -> usize {
         self.inner.lock().slots.len()
-    }
-
-    /// The configured replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Point-in-time counters.
@@ -306,11 +242,11 @@ impl BufferPool {
                 },
             ));
         }
-        let (slot, evicted) = self.allocate(&mut inner);
+        let (slot, evicted) = Self::allocate(&mut inner);
         if evicted {
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Self::install(self.policy, &mut inner, slot, key, Arc::clone(&data), false);
+        Self::install(&mut inner, slot, key, Arc::clone(&data), false);
         Ok((
             data,
             PoolReadOutcome {
@@ -324,7 +260,7 @@ impl BufferPool {
     /// Prefetch: if the block is absent, run `fetch` and install it
     /// tagged as prefetched. Returns whether a fetch happened. A resident
     /// block is left untouched (a prefetch probe must not look like a
-    /// demand reference to the replacement policy).
+    /// demand reference to the clock).
     pub fn prefetch_with(
         &self,
         source: u32,
@@ -350,11 +286,11 @@ impl BufferPool {
         if inner.map.contains_key(&key) {
             return false;
         }
-        let (slot, evicted) = self.allocate(&mut inner);
+        let (slot, evicted) = Self::allocate(&mut inner);
         if evicted {
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Self::install(self.policy, &mut inner, slot, key, data, true);
+        Self::install(&mut inner, slot, key, data, true);
         self.stats.prefetched_blocks.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -362,89 +298,46 @@ impl BufferPool {
     /// Mark a demand reference on a resident slot; returns (and clears)
     /// its prefetched tag.
     fn touch(inner: &mut PoolInner, slot: usize) -> bool {
-        inner.tick += 1;
-        let tick = inner.tick;
         let s = &mut inner.slots[slot];
         s.referenced = true;
-        s.stamp = tick;
         std::mem::take(&mut s.prefetched)
     }
 
     fn install(
-        policy: ReplacementPolicy,
         inner: &mut PoolInner,
         slot: usize,
         key: (u32, u64),
         data: Arc<Vec<u8>>,
         prefetched: bool,
     ) {
-        inner.tick += 1;
-        let tick = inner.tick;
         inner.slots[slot] = Slot {
             key: Some(key),
             data,
-            // Clock grants new blocks one revolution of grace; SIEVE
-            // inserts unvisited by definition.
-            referenced: matches!(policy, ReplacementPolicy::Clock),
-            stamp: tick,
+            // New blocks get one revolution of grace.
+            referenced: true,
             prefetched,
         };
         inner.map.insert(key, slot);
-        inner.order.push(slot);
     }
 
-    /// Take `slot` out of the insertion-order queue, keeping the SIEVE
-    /// hand pointed at the same logical position.
-    fn unlink(inner: &mut PoolInner, slot: usize) {
-        if let Some(pos) = inner.order.iter().position(|&s| s == slot) {
-            inner.order.remove(pos);
-            if pos < inner.sieve_hand {
-                inner.sieve_hand -= 1;
-            }
-        }
-    }
-
-    /// A slot to install into: a free one if any, else the policy's
-    /// victim (whose old mapping is removed here). The bool reports
-    /// whether an occupied block was displaced.
-    fn allocate(&self, inner: &mut PoolInner) -> (usize, bool) {
+    /// A slot to install into: a free one if any, else the clock's victim
+    /// (whose old mapping is removed here). The bool reports whether an
+    /// occupied block was displaced.
+    fn allocate(inner: &mut PoolInner) -> (usize, bool) {
         if let Some(slot) = inner.free.pop() {
             return (slot, false);
         }
-        let victim = match self.policy {
-            ReplacementPolicy::Clock => loop {
-                let hand = inner.hand;
-                inner.hand = (inner.hand + 1) % inner.slots.len();
-                if inner.slots[hand].referenced {
-                    inner.slots[hand].referenced = false;
-                } else {
-                    break hand;
-                }
-            },
-            ReplacementPolicy::Lru => inner
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.key.is_some())
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
-                .expect("free list empty implies an occupied slot"),
-            ReplacementPolicy::Sieve => loop {
-                if inner.sieve_hand >= inner.order.len() {
-                    inner.sieve_hand = 0;
-                }
-                let slot = inner.order[inner.sieve_hand];
-                if inner.slots[slot].referenced {
-                    inner.slots[slot].referenced = false;
-                    inner.sieve_hand += 1;
-                } else {
-                    break slot;
-                }
-            },
+        let victim = loop {
+            let hand = inner.hand;
+            inner.hand = (inner.hand + 1) % inner.slots.len();
+            if inner.slots[hand].referenced {
+                inner.slots[hand].referenced = false;
+            } else {
+                break hand;
+            }
         };
         let key = inner.slots[victim].key.take().expect("victim is occupied");
         inner.map.remove(&key);
-        Self::unlink(inner, victim);
         (victim, true)
     }
 }
@@ -487,7 +380,7 @@ mod tests {
 
     #[test]
     fn demand_reads_hit_after_first_fetch() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(4);
         let src = pool.register();
         let (data, out) = pool.get(src, 7, fetch(0xAA)).unwrap();
         assert!(!out.hit);
@@ -500,7 +393,7 @@ mod tests {
 
     #[test]
     fn sources_do_not_alias_blocks() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(4);
         let (a, b) = (pool.register(), pool.register());
         pool.get(a, 0, fetch(1)).unwrap();
         let (data, out) = pool.get(b, 0, fetch(2)).unwrap();
@@ -510,7 +403,7 @@ mod tests {
 
     #[test]
     fn clock_grants_second_chance() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(2);
         let src = pool.register();
         pool.get(src, 0, fetch(0)).unwrap();
         pool.get(src, 1, fetch(1)).unwrap();
@@ -521,49 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let pool = BufferPool::new(3, ReplacementPolicy::Lru);
-        let src = pool.register();
-        for b in 0..3 {
-            pool.get(src, b, fetch(b as u8)).unwrap();
-        }
-        // Touch 0: block 1 becomes the coldest.
-        pool.get(src, 0, || unreachable!("resident")).unwrap();
-        pool.get(src, 3, fetch(3)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 1, 2, 3]),
-            [true, false, true, true]
-        );
-    }
-
-    #[test]
-    fn sieve_spares_visited_blocks() {
-        let pool = BufferPool::new(3, ReplacementPolicy::Sieve);
-        let src = pool.register();
-        for b in 0..3 {
-            pool.get(src, b, fetch(b as u8)).unwrap();
-        }
-        // Visit 0; the hand (oldest → newest) clears 0, evicts 1.
-        pool.get(src, 0, || unreachable!("resident")).unwrap();
-        pool.get(src, 3, fetch(3)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 1, 2, 3]),
-            [true, false, true, true]
-        );
-        // Visit 2; the hand (parked just past 0's old slot) clears 2's
-        // bit and reaches the still-unvisited newcomer 3 — SIEVE demotes
-        // one-touch entries fast.
-        pool.get(src, 2, || unreachable!("resident")).unwrap();
-        pool.get(src, 4, fetch(4)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 2, 3, 4]),
-            [true, true, false, true]
-        );
-    }
-
-    #[test]
     fn prefetched_blocks_count_when_claimed() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(4);
         let src = pool.register();
         assert!(pool.prefetch_with(src, 5, fetch(5)).unwrap());
         assert!(!pool.prefetch_with(src, 5, || unreachable!()).unwrap());
@@ -581,7 +433,7 @@ mod tests {
 
     #[test]
     fn retire_returns_slots_without_evictions() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Sieve);
+        let pool = BufferPool::new(2);
         let (a, b) = (pool.register(), pool.register());
         pool.get(a, 0, fetch(0)).unwrap();
         pool.get(a, 1, fetch(1)).unwrap();
@@ -633,7 +485,7 @@ mod tests {
 
     #[test]
     fn fetch_errors_do_not_poison_the_pool() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Lru);
+        let pool = BufferPool::new(2);
         let src = pool.register();
         let err = pool
             .get(src, 0, || {

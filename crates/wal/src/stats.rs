@@ -18,7 +18,6 @@ pub struct LogStats {
     record_reads: AtomicU64,
     scan_chunks: AtomicU64,
     readahead_chunks: AtomicU64,
-    append_reservations: AtomicU64,
     group_commit_batches: AtomicU64,
     replay_cache_hits: AtomicU64,
     replay_cache_misses: AtomicU64,
@@ -54,9 +53,6 @@ pub struct LogStatsSnapshot {
     /// Device reads issued by the scanner's read-ahead buffer (one per
     /// 64 KB chunk instead of three per record).
     pub readahead_chunks: u64,
-    /// LSN ranges handed out by the lock-free reservation pipeline
-    /// (zero when running with `serialized_append`).
-    pub append_reservations: u64,
     /// Flusher wakeups that absorbed at least one additional pending
     /// flush request into the same device write (group-commit /
     /// batch coalescing events).
@@ -123,10 +119,6 @@ impl LogStats {
         self.readahead_chunks.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn on_reservation(&self) {
-        self.append_reservations.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn on_group_commit_batch(&self) {
         self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
     }
@@ -190,7 +182,6 @@ impl LogStats {
             record_reads: self.record_reads.load(Ordering::Relaxed),
             scan_chunks: self.scan_chunks.load(Ordering::Relaxed),
             readahead_chunks: self.readahead_chunks.load(Ordering::Relaxed),
-            append_reservations: self.append_reservations.load(Ordering::Relaxed),
             group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
             replay_cache_hits: self.replay_cache_hits.load(Ordering::Relaxed),
             replay_cache_misses: self.replay_cache_misses.load(Ordering::Relaxed),
@@ -221,7 +212,6 @@ impl LogStatsSnapshot {
             record_reads: self.record_reads - earlier.record_reads,
             scan_chunks: self.scan_chunks - earlier.scan_chunks,
             readahead_chunks: self.readahead_chunks - earlier.readahead_chunks,
-            append_reservations: self.append_reservations - earlier.append_reservations,
             group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
             replay_cache_hits: self.replay_cache_hits - earlier.replay_cache_hits,
             replay_cache_misses: self.replay_cache_misses - earlier.replay_cache_misses,
@@ -253,7 +243,6 @@ impl LogStatsSnapshot {
             record_reads: self.record_reads + other.record_reads,
             scan_chunks: self.scan_chunks + other.scan_chunks,
             readahead_chunks: self.readahead_chunks + other.readahead_chunks,
-            append_reservations: self.append_reservations + other.append_reservations,
             group_commit_batches: self.group_commit_batches + other.group_commit_batches,
             replay_cache_hits: self.replay_cache_hits + other.replay_cache_hits,
             replay_cache_misses: self.replay_cache_misses + other.replay_cache_misses,
@@ -287,7 +276,6 @@ mod tests {
         s.on_flush(3, 200);
         s.on_record_read();
         s.on_scan_chunk();
-        s.on_reservation();
         s.on_group_commit_batch();
         s.on_replay_cache_hit();
         s.on_replay_cache_hit();
@@ -311,7 +299,6 @@ mod tests {
         assert_eq!(snap.padded_bytes, 200);
         assert_eq!(snap.record_reads, 1);
         assert_eq!(snap.scan_chunks, 1);
-        assert_eq!(snap.append_reservations, 1);
         assert_eq!(snap.group_commit_batches, 1);
         assert_eq!(snap.replay_cache_hits, 2);
         assert_eq!(snap.replay_cache_misses, 1);

@@ -53,9 +53,10 @@ use crate::disk::Disk;
 use crate::fault::{CrashPoint, FaultPlan};
 use crate::log::{
     FlushPolicy, FlushTicket, LogScanner, PhysicalLog, RawScanner, DATA_START, FRAME_HEADER,
+    MAX_RECORD,
 };
 use crate::model::DiskModel;
-use crate::pool::{BufferPool, ReplacementPolicy, ScanFeed};
+use crate::pool::{BufferPool, ScanFeed};
 use crate::record::LogRecord;
 use crate::stats::{LogStats, LogStatsSnapshot};
 
@@ -839,6 +840,17 @@ impl Wal {
         }
     }
 
+    /// Whether `record` is small enough to append: its encoding, plus
+    /// the striped backend's gsn wrapper, must stay within the log's
+    /// record-size bound (`MAX_RESERVED_FRAME` less the frame header).
+    pub fn fits(&self, record: &LogRecord) -> bool {
+        let wrapper = match self {
+            Wal::Single(_) => 0,
+            Wal::Striped(_) => STRIPE_WRAPPER,
+        };
+        record.to_bytes().len() as u64 + wrapper <= u64::from(MAX_RECORD)
+    }
+
     pub fn append(&self, record: &LogRecord) -> Lsn {
         match self {
             Wal::Single(l) => l.append(record),
@@ -1056,10 +1068,7 @@ impl WalReplayCache {
     /// (clock replacement); striped stripes share the one pool rather
     /// than splitting the budget.
     pub fn new(wal: &Wal, blocks: usize) -> WalReplayCache {
-        WalReplayCache::with_pool(
-            wal,
-            &Arc::new(BufferPool::new(blocks, ReplacementPolicy::Clock)),
-        )
+        WalReplayCache::with_pool(wal, &Arc::new(BufferPool::new(blocks)))
     }
 
     /// Views over `wal` borrowing slots from a shared `pool` (one

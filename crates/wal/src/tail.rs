@@ -1,11 +1,10 @@
-//! The reservation-based append pipeline (the scalable WAL tail).
+//! The reservation-based append pipeline: the log's volatile tail.
 //!
-//! The legacy append path funnels every worker thread through one global
-//! `Mutex<Buffer>`, copying the encoded frame while holding the lock, so
-//! append throughput collapses as the thread pool grows. This module
-//! decouples the three phases the way multicore logging papers prescribe
-//! (Wu et al., *Fast Failure Recovery for Main-Memory DBMSs on
-//! Multicores*; Yao et al., *Adaptive Logging*):
+//! Funnelling every worker thread through one global mutex while it copies
+//! its encoded frame makes append throughput collapse as the thread pool
+//! grows. This module decouples the three phases the way multicore
+//! logging papers prescribe (Wu et al., *Fast Failure Recovery for
+//! Main-Memory DBMSs on Multicores*; Yao et al., *Adaptive Logging*):
 //!
 //! 1. **LSN reservation** — a lock-free CAS bump on one atomic offset
 //!    hands the appender a byte range; the range's start *is* the LSN.
@@ -23,10 +22,10 @@
 //! stages segment `k`; the flusher re-stages a slot to `k + RING` once
 //! segment `k` is entirely durable. An appender that runs ahead of the
 //! ring waits for the flusher — bounding the volatile tail to
-//! `SEGMENT_RING × SEGMENT_SIZE` bytes (the legacy path's tail `Vec` was
-//! unbounded). The ring's buffers come from a process-wide recycling
-//! slab (see `SLAB`) rather than being owned per log, so processes that
-//! open many logs share one bounded pool of staging memory.
+//! `SEGMENT_RING × SEGMENT_SIZE` bytes. The ring's buffers come from a
+//! process-wide recycling slab (see `SLAB`) rather than being owned per
+//! log, so processes that open many logs share one bounded pool of
+//! staging memory.
 //!
 //! # Frame placement rules
 //!
@@ -40,8 +39,8 @@
 //!   durable point is never published inside a spanning frame, so the
 //!   crash-suffix invariant ("the log loses only a suffix of whole
 //!   frames") holds even for oversized records. Frames longer than
-//!   `(SEGMENT_RING - 1) × SEGMENT_SIZE` cannot be staged and panic; the
-//!   `serialized_append` compatibility path has no such limit.
+//!   [`MAX_RESERVED_FRAME`] cannot be staged; the log's record-size bound
+//!   (`log::MAX_RECORD`) keeps every frame within it.
 //!
 //! # Memory-safety argument for the `UnsafeCell` buffers
 //!
@@ -299,8 +298,7 @@ impl ReservedTail {
         assert!(
             frame_len as usize <= MAX_RESERVED_FRAME,
             "record frame of {frame_len} bytes exceeds the reservation \
-             pipeline's staging window ({MAX_RESERVED_FRAME} bytes); \
-             use the serialized_append compatibility path for such records"
+             pipeline's staging window ({MAX_RESERVED_FRAME} bytes)"
         );
         let mut cur = self.reserved.load(Ordering::Acquire);
         loop {

@@ -1,10 +1,9 @@
 //! The process-wide recovery buffer pool and the overlapped recovery
-//! phases must be invisible except in speed: every replacement policy
-//! (clock / LRU / SIEVE), the scan-fed warm-in, the early-spawned replay
-//! pool, and the longest-first prefetcher may only change *when* blocks
-//! are resident — never what state recovery lands on. Every combination
-//! below must be byte-identical to the serial baseline on the same crash
-//! image.
+//! phases must be invisible except in speed: clock eviction, the
+//! scan-fed warm-in, the early-spawned replay pool, and the longest-first
+//! prefetcher may only change *when* blocks are resident — never what
+//! state recovery lands on. Every configuration below must be
+//! byte-identical to the serial baseline on the same crash image.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,7 +14,7 @@ use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig};
 use msp_harness::await_recovery;
 use msp_net::{NetModel, Network};
 use msp_types::{DomainId, MspId};
-use msp_wal::{DiskModel, MemDisk, ReplacementPolicy};
+use msp_wal::{DiskModel, MemDisk};
 
 const M1: MspId = MspId(1);
 
@@ -94,104 +93,69 @@ fn recover(image: &[u8], cfg: MspConfig, net_seed: u64) -> (Recovered, msp_wal::
     (out, pool)
 }
 
-/// Every replacement policy lands on the serial baseline's state, with a
-/// pool small enough (4 × 64 KB) that eviction decisions actually differ
-/// between the policies.
+/// A small pool (4 × 64 KB) under eight replay threads lands on the
+/// serial baseline's state.
 #[test]
-fn all_replacement_policies_are_byte_identical_to_serial() {
+fn small_pool_is_byte_identical_to_serial() {
     let image = crash_image(32, 6);
     let (baseline, _) = recover(&image, solo_cfg().with_serial_recovery(true), 50);
     assert_eq!(baseline.0.len(), 32, "all 32 sessions recovered");
 
-    for (i, policy) in [
-        ReplacementPolicy::Clock,
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Sieve,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let cfg = solo_cfg()
-            .with_recovery_threads(8)
-            .with_replay_cache_blocks(4)
-            .with_replacement_policy(policy);
-        let (got, pool) = recover(&image, cfg, 51 + i as u64);
-        assert_eq!(
-            got,
-            baseline,
-            "policy {} diverged from serial recovery",
-            policy.name()
-        );
-        assert!(
-            pool.pool_hits + pool.pool_misses > 0,
-            "policy {} never touched the pool",
-            policy.name()
-        );
-    }
+    let cfg = solo_cfg()
+        .with_recovery_threads(8)
+        .with_replay_cache_blocks(4);
+    let (got, pool) = recover(&image, cfg, 51);
+    assert_eq!(got, baseline, "4-block pool diverged from serial recovery");
+    assert!(
+        pool.pool_hits + pool.pool_misses > 0,
+        "replay never touched the pool"
+    );
 }
 
-/// The overlap machinery — scan-fed warm-in, replay spawned before the
-/// recovery checkpoint, the longest-first prefetcher — toggled in every
-/// combination, against both the serial baseline and the
-/// no-overlap/no-prefetch parallel baseline. Value-logged configurations
-/// must land on identical state regardless.
+/// The overlap machinery — scan-fed warm-in and replay spawned before the
+/// recovery checkpoint — on and off, with the longest-first prefetcher
+/// running in both, against the serial baseline. Value-logged
+/// configurations must land on identical state regardless.
 #[test]
 fn overlapped_and_prefetched_recovery_match_serial() {
     let image = crash_image(24, 5);
     let (baseline, _) = recover(&image, solo_cfg().with_serial_recovery(true), 60);
     assert_eq!(baseline.0.len(), 24, "all 24 sessions recovered");
 
-    let mut seed = 61;
-    for overlap in [false, true] {
-        for prefetch in [false, true] {
-            let cfg = solo_cfg()
-                .with_recovery_threads(8)
-                .with_replay_cache_blocks(8)
-                .with_overlapped_recovery(overlap)
-                .with_recovery_prefetch(prefetch);
-            let (got, pool) = recover(&image, cfg, seed);
-            seed += 1;
-            assert_eq!(
-                got, baseline,
-                "overlap={overlap} prefetch={prefetch} diverged from serial"
+    for (seed, overlap) in [(61, false), (62, true)] {
+        let cfg = solo_cfg()
+            .with_recovery_threads(8)
+            .with_replay_cache_blocks(8)
+            .with_overlapped_recovery(overlap);
+        let (got, pool) = recover(&image, cfg, seed);
+        assert_eq!(got, baseline, "overlap={overlap} diverged from serial");
+        if overlap {
+            // The warm-in feeds every analysis-scan chunk into the pool,
+            // so replay's demand reads find them resident.
+            assert!(
+                pool.pool_prefetched_blocks > 0,
+                "overlapped recovery never warmed the pool"
             );
-            if overlap {
-                // The warm-in feeds every analysis-scan chunk into the
-                // pool, so replay's demand reads find them resident.
-                assert!(
-                    pool.pool_prefetched_blocks > 0,
-                    "overlapped recovery never warmed the pool"
-                );
-            }
         }
     }
 }
 
-/// A pool of one block under eight replay threads: constant eviction on
-/// every policy, still byte-identical state.
+/// A pool of one block under eight replay threads: constant eviction,
+/// overlap on and off, still byte-identical state.
 #[test]
-fn single_block_pool_thrashes_coherently_on_every_policy() {
+fn single_block_pool_thrashes_coherently() {
     let image = crash_image(16, 4);
     let (baseline, _) = recover(&image, solo_cfg().with_serial_recovery(true), 70);
 
-    for (i, policy) in [
-        ReplacementPolicy::Clock,
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Sieve,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (seed, overlap) in [(71, false), (72, true)] {
         let cfg = solo_cfg()
             .with_recovery_threads(8)
             .with_replay_cache_blocks(1)
-            .with_replacement_policy(policy);
-        let (got, _) = recover(&image, cfg, 71 + i as u64);
+            .with_overlapped_recovery(overlap);
+        let (got, _) = recover(&image, cfg, seed);
         assert_eq!(
-            got,
-            baseline,
-            "policy {} diverged with a single-block pool",
-            policy.name()
+            got, baseline,
+            "overlap={overlap} diverged with a single-block pool"
         );
     }
 }
