@@ -15,8 +15,9 @@
 //! thin view binding a pool source id to one physical log. Eviction is
 //! the pool's clock; blocks are handed out as `Arc<Vec<u8>>` so a lookup
 //! clones the Arc and drops the bookkeeping lock before any byte is
-//! copied; concurrent misses on the same block may both read the device
-//! (both are counted — that is real I/O).
+//! copied. Concurrent misses on the same block share one device read:
+//! the first reader fetches, the rest wait for its bytes and count as
+//! hits, so each block is read (and billed) once per residency.
 //!
 //! Reads at or past [`limit`](ReplayCache::limit) (records appended
 //! *during* recovery, e.g. EOS markers) go to the owning log, which can
@@ -104,14 +105,8 @@ impl ReplayCache {
         blocks.sort_unstable();
         blocks.dedup();
         for block_no in blocks {
-            self.pool.prefetch_with(self.source, block_no, || {
-                self.model.charge_read(128);
-                let off = block_no * SCAN_CHUNK as u64;
-                let mut data = vec![0u8; SCAN_CHUNK];
-                let n = self.disk.read(off, &mut data).map_err(MspError::Io)?;
-                data.truncate(n);
-                Ok(data)
-            })?;
+            self.pool
+                .prefetch_with(self.source, block_no, || self.read_block(block_no))?;
         }
         Ok(())
     }
@@ -120,15 +115,8 @@ impl ReplayCache {
     /// device (one miss = one charged sequential read).
     fn block(&self, block_no: u64) -> Result<Arc<Vec<u8>>, MspError> {
         let (data, outcome) = self.pool.get(self.source, block_no, || {
-            // Miss: the device read (and its bill) happens outside the
-            // pool lock so other sessions keep hitting meanwhile.
             self.log.stats_ref().on_replay_cache_miss();
-            self.model.charge_read(128);
-            let off = block_no * SCAN_CHUNK as u64;
-            let mut data = vec![0u8; SCAN_CHUNK];
-            let n = self.disk.read(off, &mut data).map_err(MspError::Io)?;
-            data.truncate(n);
-            Ok(data)
+            self.read_block(block_no)
         })?;
         if outcome.hit {
             self.log.stats_ref().on_replay_cache_hit();
@@ -136,6 +124,18 @@ impl ReplayCache {
         if outcome.evicted {
             self.log.stats_ref().on_replay_cache_eviction();
         }
+        Ok(data)
+    }
+
+    /// The pool's one device read: block `block_no` off the disk, billed
+    /// as one 128-sector sequential read. Runs outside the pool lock, so
+    /// other sessions keep hitting meanwhile.
+    fn read_block(&self, block_no: u64) -> Result<Vec<u8>, MspError> {
+        self.model.charge_read(128);
+        let off = block_no * SCAN_CHUNK as u64;
+        let mut data = vec![0u8; SCAN_CHUNK];
+        let n = self.disk.read(off, &mut data).map_err(MspError::Io)?;
+        data.truncate(n);
         Ok(data)
     }
 

@@ -132,6 +132,9 @@ mod tests {
         assert_eq!(s.last(), Some(Lsn(30)));
     }
 
+    // `push` checks its order with `debug_assert!`, so the check (and
+    // this test) exists only in builds with debug assertions.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn out_of_order_push_panics_in_debug() {
